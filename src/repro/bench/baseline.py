@@ -42,7 +42,6 @@ from repro.xmark.generator import generate_xmark, xmark_scale_for_bytes
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmark.schema import xmark_schema
 from repro.xmlio._reference_lexer import reference_tokenize
-from repro.xmlio._str_lexer import str_tokenize
 from repro.xmlio.filelexer import FileTokenizer
 from repro.xmlio.lexer import tokenize
 
@@ -64,11 +63,6 @@ SCHEMA_VERSION = 1
 #: ``tokenizer_speedup`` is the bytes-rewrite acceptance criterion (raised
 #: from the PR 3 floor of 2.0): the bytes-domain scanner must stay at
 #: least three times as fast as the frozen character-stepping reference.
-#: ``tokenizer_bytes_vs_str_speedup`` guards the rewrite itself — the
-#: bytes scanner must never fall behind the frozen PR 3 str-domain batch
-#: lexer it replaced (same algorithm, str domain), which is exactly the
-#: regression a bytes port invites (``b"x" in body`` is ~6x slower than
-#: its str equivalent, etc.).
 #: ``multiquery_speedup_k8`` is the multi-query acceptance criterion: one
 #: shared scan must serve the K=8 standing mix at least twice as fast as K
 #: sequential warm sessions.  ``multiquery_single_scan`` is the shared-pass
@@ -93,7 +87,6 @@ SCHEMA_VERSION = 1
 #: engine binary, so it gates machine-independently.
 FLOORS: dict[str, float] = {
     "tokenizer_speedup": 3.0,
-    "tokenizer_bytes_vs_str_speedup": 1.0,
     "multiquery_speedup_k8": 2.0,
     "multiquery_single_scan": 1.0,
     "schema_hwm_reduction": 1.2,
@@ -198,8 +191,8 @@ def run_quick_suite(
     # -- tokenizer: optimized vs frozen reference, same doc, same host --
     # The bytes scanner is fed raw UTF-8 (encoded once, outside the timed
     # region): that is its production diet — mmap windows from files,
-    # encoded chunk uploads from the server — while the two frozen
-    # oracles scan the str form they were written for.
+    # encoded chunk uploads from the server — while the frozen oracle
+    # scans the str form it was written for.
     raw_document = document.encode("utf-8")
 
     def drain_new() -> None:
@@ -210,20 +203,13 @@ def run_quick_suite(
         for _token in reference_tokenize(document):
             pass
 
-    def drain_str() -> None:
-        for _token in str_tokenize(document):
-            pass
-
     # Interleave the measurements so load drift on the host biases the
-    # speedup ratios as little as possible (they are the hard-gated
-    # metrics).
+    # speedup ratio as little as possible (it is a hard-gated metric).
     new_seconds = float("inf")
     reference_seconds = float("inf")
-    str_seconds = float("inf")
     for _ in range(repeats + 2):
         new_seconds = min(new_seconds, _best_seconds(drain_new, 1))
         reference_seconds = min(reference_seconds, _best_seconds(drain_reference, 1))
-        str_seconds = min(str_seconds, _best_seconds(drain_str, 1))
     add("tokenizer_mb_per_s", mb / new_seconds, "MB/s", machine_dependent=True)
     add(
         "reference_tokenizer_mb_per_s",
@@ -232,7 +218,6 @@ def run_quick_suite(
         machine_dependent=True,
     )
     add("tokenizer_speedup", reference_seconds / new_seconds, "x")
-    add("tokenizer_bytes_vs_str_speedup", str_seconds / new_seconds, "x")
 
     # -- file tokenizer: chunked reads with window compaction -----------
     def drain_file() -> None:

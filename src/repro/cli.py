@@ -241,9 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "ablations":
         return _cmd_ablations(args)
     if args.command == "dtd":
-        from repro.xmark.dtd import render_dtd
+        from repro.xmark.schema import xmark_schema
 
-        print(render_dtd(), end="")
+        print(xmark_schema().to_dtd(), end="")
         return 0
     return 2
 

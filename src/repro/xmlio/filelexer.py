@@ -24,17 +24,12 @@ positions point into the window.  Compaction also maintains the newline
 counts that make ``XMLSyntaxError.line``/``.column`` computable after the
 prefix is gone, while ``position`` stays a document-absolute byte offset.
 
-When ``GCX_LEX_SHARDS`` requests it and the file is large enough,
-``tokenize_file`` hands the path to the process-sharded scan
-(:mod:`repro.xmlio.shard`) instead.
-
 ``tokenize_file`` accepts a path or any open (binary or text) file object.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -120,17 +115,6 @@ def tokenize_file(
     is opened and closed by the iterator.
     """
     if isinstance(source, (str, Path)):
-        if os.environ.get("GCX_LEX_SHARDS", "1") not in ("", "0", "1"):
-            from repro.xmlio import shard
-
-            sharded = shard.maybe_tokenize_file_sharded(
-                source,
-                strip_whitespace=strip_whitespace,
-                convert_attributes=convert_attributes,
-            )
-            if sharded is not None:
-                return sharded
-
         def generate() -> Iterator[Token]:
             with open(source, "rb") as handle:
                 try:

@@ -31,19 +31,13 @@ and decoding is deferred to the consumers that actually need characters:
   byte budget (:data:`BATCH_BYTES`, or the chunk size in file mode, so the
   file-backed subclass can compact its window between batches) instead of
   a token count, which removes a length check from the per-token loop.
-* *shard merge* — for large inputs the optional process-sharded scan
-  (:mod:`repro.xmlio.shard`) splits the document at tag boundaries, lexes
-  the shards in ``fragment`` mode in a process pool, and merges them with a
-  structural re-validation pass; any disagreement falls back to this
-  sequential scanner.
 
 Positions (``XMLSyntaxError.position``) are document-absolute **byte**
 offsets; ``.line``/``.column`` are computed lazily from the offending
 window on first access.  The pre-batching implementation is preserved
-verbatim in :mod:`repro.xmlio._reference_lexer` and the pre-bytes batch
-lexer in :mod:`repro.xmlio._str_lexer`; differential tests assert all
-three emit identical token streams, and the CI perf gate tracks the
-speedups.
+verbatim in :mod:`repro.xmlio._reference_lexer`; differential tests
+assert both emit identical token streams, and the CI perf gate tracks the
+speedup.
 
 Supported XML subset
 --------------------
@@ -62,7 +56,6 @@ XML grammar's ``S`` production requires).
 
 from __future__ import annotations
 
-import os
 import re
 from sys import intern
 from typing import Iterator
@@ -130,7 +123,7 @@ def _ws_only(raw: bytes) -> bool:
     """True when ``raw`` decodes to whitespace-only text (without decoding).
 
     Mirrors the reference lexer's ``content.strip() == ""`` check in the
-    bytes domain.  Shared with the shard merger's structural validation.
+    bytes domain.
     """
     if not raw:
         return True
@@ -226,12 +219,6 @@ class XMLTokenizer:
         When true (the default), attributes are emitted as leading
         subelements in document order: ``<a x="1">`` becomes
         ``<a><x>1</x>...``.  This mirrors the paper's benchmark adaptation.
-    fragment:
-        Shard-worker mode (:mod:`repro.xmlio.shard`): structural checks
-        that need the *document* context — root counting, text-outside-root,
-        end-tag matching against elements opened in an earlier shard, and
-        the EOF well-formedness checks — are suspended; the shard merger
-        re-validates the merged stream.  Not part of the public contract.
     """
 
     def __init__(
@@ -240,7 +227,6 @@ class XMLTokenizer:
         *,
         strip_whitespace: bool = True,
         convert_attributes: bool = True,
-        fragment: bool = False,
     ) -> None:
         if isinstance(text, str):
             data = text.encode("utf-8")
@@ -253,7 +239,6 @@ class XMLTokenizer:
         self._offset = 0  # bytes discarded by compaction (file mode)
         self._strip_whitespace = strip_whitespace
         self._convert_attributes = convert_attributes
-        self._fragment = fragment
         # Innermost-first stack of *closers* (see :func:`_tag_entry`)
         # for the currently open elements; ``closer[3]`` is the tag.
         self._open_tags: list[tuple] = []
@@ -270,7 +255,7 @@ class XMLTokenizer:
         # Interning tables keyed by the *undecoded* tag slice: one token
         # object — and one UTF-8 decode — per distinct tag spelling.
         # ``_start_tags`` values are :func:`_tag_entry` pairs; ``_end_tags``
-        # caches the slow end-tag path (whitespace spellings and fragments).
+        # caches the slow end-tag path (whitespace spellings and mismatches).
         self._start_tags: dict[bytes, tuple[StartTag, tuple]] = {}
         self._end_tags: dict[bytes, EndTag] = {}
         # Newline bookkeeping for lazy line/column on errors: counts for
@@ -363,7 +348,6 @@ class XMLTokenizer:
         limit = pos + self._batch_bytes
         offset = self._offset
         strip_ws = self._strip_whitespace
-        fragment = self._fragment
         seen_root = self._seen_root
         open_tags = self._open_tags
         pop = open_tags.pop
@@ -413,7 +397,7 @@ class XMLTokenizer:
                     ):
                         if strip_ws:
                             continue
-                    elif not open_tags and not fragment:
+                    elif not open_tags:
                         raise XMLSyntaxError(
                             "character data outside the root element",
                             start + offset,
@@ -449,8 +433,8 @@ class XMLTokenizer:
                             pos = pos + 2 + skip
                             append(closer[2])
                             continue
-                    # Slow path: whitespace inside the tag, a mismatch, a
-                    # fragment-mode close, or a chunk boundary mid-tag.
+                    # Slow path: whitespace inside the tag, a mismatch or
+                    # a chunk boundary mid-tag.
                     end = find(b">", pos)
                     if end == -1:
                         self._pos = pos
@@ -472,25 +456,18 @@ class XMLTokenizer:
                         )
                     name = token.tag
                     if not open_tags:
-                        if not fragment:
-                            raise XMLSyntaxError(
-                                f"closing tag </{name}> with no open element",
-                                pos + offset,
-                            )
-                    else:
-                        expected = open_tags[-1][3]
-                        if expected == name:
-                            pop()
-                        elif fragment:
-                            # An outer element opened in an earlier shard
-                            # may close here; the merger re-validates.
-                            pass
-                        else:
-                            raise XMLSyntaxError(
-                                f"mismatched closing tag </{name}>, "
-                                f"expected </{expected}>",
-                                pos + offset,
-                            )
+                        raise XMLSyntaxError(
+                            f"closing tag </{name}> with no open element",
+                            pos + offset,
+                        )
+                    expected = open_tags[-1][3]
+                    if expected != name:
+                        raise XMLSyntaxError(
+                            f"mismatched closing tag </{name}>, "
+                            f"expected </{expected}>",
+                            pos + offset,
+                        )
+                    pop()
                     pos = end + 1
                     append(token)
                     continue
@@ -523,7 +500,7 @@ class XMLTokenizer:
                         data = self._data
                         find = data.find
                         content = data[pos + 9 : end]
-                        if not open_tags and not fragment:
+                        if not open_tags:
                             raise XMLSyntaxError(
                                 "character data outside the root element",
                                 pos + offset,
@@ -585,7 +562,7 @@ class XMLTokenizer:
                     token, closer = start_tags[body] = _tag_entry(body)
                     attributes = ()
                 if not open_tags:
-                    if seen_root and not fragment:
+                    if seen_root:
                         raise XMLSyntaxError(
                             "document has more than one root element",
                             pos + offset,
@@ -708,8 +685,7 @@ class XMLTokenizer:
         return name, attributes
 
     def _finish_checks(self) -> None:
-        if self._done or self._fragment:
-            self._done = True
+        if self._done:
             return
         self._done = True
         # ``_pos`` is window-relative in chunked file mode; add the
@@ -745,21 +721,8 @@ def tokenize(
 ) -> Iterator[Token]:
     """Tokenize ``text`` into a stream of :class:`~repro.xmlio.tokens.Token`.
 
-    Accepts ``str`` (encoded once) or raw UTF-8 bytes.  When
-    ``GCX_LEX_SHARDS`` requests it and the document is large enough, the
-    scan is sharded across the process pool (see :mod:`repro.xmlio.shard`);
-    the token stream is identical either way.
+    Accepts ``str`` (encoded once) or raw UTF-8 bytes.
     """
-    if os.environ.get("GCX_LEX_SHARDS", "1") not in ("", "0", "1"):
-        from repro.xmlio import shard
-
-        sharded = shard.maybe_tokenize_sharded(
-            text,
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-        )
-        if sharded is not None:
-            return sharded
     return iter(
         XMLTokenizer(
             text,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.schema import ChildSpec, Schema, SchemaViolation, load_dtd
-from repro.xmark.dtd import render_dtd
 from repro.xmark.schema import xmark_schema
 
 BIB_DTD = """
@@ -112,15 +111,15 @@ class TestValidation:
 
 
 class TestXMarkUnification:
-    """xmark.dtd and xmark.schema are facades over the one Schema object."""
+    """The XMark content tables and ``gcx dtd`` render from one Schema."""
 
     def test_xmark_schema_is_a_schema(self):
         schema = xmark_schema()
         assert isinstance(schema, Schema)
         assert schema.roots == {"site"}
 
-    def test_render_dtd_parses_back(self):
-        schema = Schema.from_dtd_text(render_dtd())
+    def test_to_dtd_parses_back(self):
+        schema = Schema.from_dtd_text(xmark_schema().to_dtd())
         assert schema.tags == xmark_schema().tags
 
     def test_generated_documents_conform(self):

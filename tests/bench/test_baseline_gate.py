@@ -209,3 +209,14 @@ class TestGateTool:
         proc = run_gate("--fresh", str(pruned))
         assert proc.returncode == 1
         assert "missing from the fresh run" in proc.stderr
+
+    def test_floored_metric_missing_everywhere_fails_the_gate(self, tmp_path):
+        """A floored metric dropped from the suite *and* from the baseline
+        (say by ``--update``) must not take its floor with it."""
+        payload = json.loads(COMMITTED_BASELINE.read_text())
+        del payload["metrics"]["tokenizer_speedup"]
+        pruned = tmp_path / "BENCH_pruned.json"
+        pruned.write_text(json.dumps(payload))
+        proc = run_gate("--fresh", str(pruned), "--baseline", str(pruned))
+        assert proc.returncode == 1
+        assert "floored metric 'tokenizer_speedup' missing" in proc.stderr

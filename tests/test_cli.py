@@ -144,6 +144,12 @@ class TestDtdCommand:
         assert "<!ELEMENT site" in out
         assert "ATTLIST" not in out
 
+    def test_prints_exactly_the_xmark_schema(self, capsys):
+        from repro.xmark.schema import xmark_schema
+
+        assert main(["dtd"]) == 0
+        assert capsys.readouterr().out == xmark_schema().to_dtd()
+
 
 class TestServeBatch:
     @pytest.fixture

@@ -27,6 +27,32 @@ class TestDocFilesExist:
     def test_required_docs_present(self):
         assert check_docs.check_docs_exist() == []
 
+    def test_cited_module_paths_exist(self):
+        assert check_docs.check_cited_paths() == []
+
+    @pytest.mark.parametrize(
+        "cited, exists",
+        [
+            ("xmlio/lexer.py", True),
+            ("repro/xmlio/lexer.py", True),
+            ("src/repro/xmlio/lexer.py", True),
+            ("tests/xmlio/test_lexer.py", True),
+            ("xmlio/gone.py", False),
+            ("tests/xmlio/gone.py", False),
+        ],
+    )
+    def test_cited_path_resolution(self, cited, exists, tmp_path, monkeypatch):
+        for present in ("src/repro/xmlio/lexer.py", "tests/xmlio/test_lexer.py"):
+            (tmp_path / present).parent.mkdir(parents=True)
+            (tmp_path / present).write_text("")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "X.md").write_text(f"see `{cited}`\n")
+        (tmp_path / "README.md").write_text("")
+        monkeypatch.setattr(check_docs, "REPO", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC", tmp_path / "src")
+        failures = check_docs.check_cited_paths()
+        assert (failures == []) == exists, failures
+
     @pytest.mark.parametrize(
         "name", ["README.md", "docs/CLI.md", "docs/SERVING.md"]
     )

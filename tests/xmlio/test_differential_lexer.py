@@ -4,8 +4,9 @@ The optimized tokenizer (:mod:`repro.xmlio.lexer`) must emit a token stream
 byte-identical to the pre-optimization implementation preserved in
 :mod:`repro.xmlio._reference_lexer`, over the XMark corpus, adversarial
 constructs (CDATA spanning chunk boundaries, entities, bachelor tags), and
-hypothesis-generated documents — in every flag combination and for the
-file-backed chunked variant at many chunk sizes.
+hypothesis-generated documents — in every flag combination, for the
+file-backed chunked variant at many chunk sizes, and for the mmap-backed
+``tokenize_file`` path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.xmark import generate_xmark
 from repro.xmlio._reference_lexer import ReferenceTokenizer, reference_tokenize
-from repro.xmlio.filelexer import FileTokenizer
+from repro.xmlio.filelexer import FileTokenizer, tokenize_file
 from repro.xmlio.lexer import XMLSyntaxError, tokenize
 
 from tests.properties.strategies import documents
@@ -49,6 +50,14 @@ ADVERSARIAL_DOCUMENTS = [
     "<aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa><b>"
     + "x" * 100
     + "</b></aaaaaaaaaaaaaaaaaaaaaaaaaaaaaa>",
+    # Comment and CDATA bodies that look like markup, long enough to
+    # cover many chunk boundaries.
+    "<r><a>head</a><!-- " + "never <split> me " * 30 + " --><b>tail</b></r>",
+    "<r><a>head</a><![CDATA[" + "looks </like> markup " * 30 + "]]><b>tail</b></r>",
+    # Processing instructions between multi-byte text runs.
+    "<r>" + "<?pi some data?><a>é日😀</a>" * 30 + "</r>",
+    # Attribute-heavy markup.
+    "<r>" + '<item id="i7" cat="a b">v</item>' * 30 + "</r>",
 ]
 
 FLAG_COMBINATIONS = [
@@ -76,6 +85,12 @@ class TestAdversarialDifferential:
     def test_chunked_identical_streams(self, document, chunk_size):
         chunked = list(FileTokenizer(io.StringIO(document), chunk_size=chunk_size))
         assert chunked == list(reference_tokenize(document))
+
+    @pytest.mark.parametrize("document", ADVERSARIAL_DOCUMENTS)
+    def test_mmap_file_identical_streams(self, document, tmp_path):
+        path = tmp_path / "doc.xml"
+        path.write_text(document, encoding="utf-8")
+        assert list(tokenize_file(path)) == list(reference_tokenize(document))
 
     def test_cdata_split_at_every_chunk_boundary(self):
         """The CDATA prefix/terminator must survive any chunk split."""
@@ -121,6 +136,10 @@ class TestErrorDifferential:
         "<>empty</>",
         "<a><![CDATA[unterminated</a>",
         "<a><!-- unterminated</a>",
+        # Far from the start, after many complete elements.
+        "<r>" + "<a>x</a>" * 30 + "</r><extra/>",
+        "<r>" + "<a>x</a>" * 30 + "</r>trailing text",
+        "<r>" + "<a>x</a>" * 15 + "<![CDATA[never terminated",
     ]
 
     @pytest.mark.parametrize("bad", ERROR_CASES)
@@ -130,6 +149,7 @@ class TestErrorDifferential:
         with pytest.raises(XMLSyntaxError) as reference_error:
             list(reference_tokenize(bad))
         assert str(new_error.value) == str(reference_error.value)
+        assert new_error.value.position == reference_error.value.position
 
     @pytest.mark.parametrize("bad", ERROR_CASES)
     def test_tokens_before_the_error_match(self, bad):
@@ -153,6 +173,17 @@ class TestErrorDifferential:
         with pytest.raises(XMLSyntaxError) as reference_error:
             list(reference_tokenize(bad))
         assert str(file_error.value) == str(reference_error.value)
+
+    @pytest.mark.parametrize("bad", ERROR_CASES)
+    def test_mmap_file_same_error_and_position(self, bad, tmp_path):
+        path = tmp_path / "bad.xml"
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(XMLSyntaxError) as file_error:
+            list(tokenize_file(path))
+        with pytest.raises(XMLSyntaxError) as reference_error:
+            list(reference_tokenize(bad))
+        assert str(file_error.value) == str(reference_error.value)
+        assert file_error.value.position == reference_error.value.position
 
     def test_file_mode_unclosed_element_offset_after_compaction(self):
         # Large enough that the consumed prefix is compacted away before

@@ -11,11 +11,12 @@ an exit status:
   because CI hardware differs from the machine that recorded the baseline;
   pass ``--strict-timings`` to fail on them too (useful locally);
 * metrics with an absolute floor FAIL whenever the fresh value sinks
-  below it, threshold notwithstanding: ``tokenizer_speedup`` ≥ 3.0 (the
-  bytes-domain rewrite's acceptance criterion, raised from the PR 3
-  floor of 2.0) and ``tokenizer_bytes_vs_str_speedup`` ≥ 1.0 (the bytes
-  scanner must never fall behind the frozen str-domain batch lexer it
-  replaced); see ``repro.bench.baseline.FLOORS`` for the full set.
+  below it, threshold notwithstanding — e.g. ``tokenizer_speedup`` ≥ 3.0
+  (the bytes-domain scanner against the frozen reference lexer); see
+  ``repro.bench.baseline.FLOORS`` for the full set;
+* a floored metric absent from the fresh run FAILS, whether or not the
+  baseline still carries it, and so does any other baseline metric the
+  fresh run lost (a rename or removal must re-record the baseline).
 
 Usage:
     python tools/bench_gate.py                       # run suite + gate
@@ -164,9 +165,18 @@ def main() -> int:
     deltas = compare(baseline, fresh)
     failures: list[str] = []
     warnings: list[str] = []
-    # A tracked metric that vanished from the fresh run is a gate bypass,
-    # not a pass — renames/deletions must re-record the baseline explicitly.
-    for name in sorted(set(baseline) - set(fresh)):
+    # A floored metric that vanished from the fresh run would take its
+    # floor with it — even after --update dropped it from the baseline —
+    # so its absence fails by itself.  Retiring one means deleting its
+    # FLOORS entry.
+    for name in sorted(set(FLOORS) - set(fresh)):
+        failures.append(
+            f"floored metric {name!r} missing from the fresh run "
+            "(retiring it requires removing its FLOORS entry)"
+        )
+    # Any other tracked metric that vanished is a gate bypass too, not a
+    # pass — renames/deletions must re-record the baseline explicitly.
+    for name in sorted(set(baseline) - set(fresh) - set(FLOORS)):
         failures.append(
             f"baseline metric {name!r} missing from the fresh run "
             "(rename/removal requires --update)"

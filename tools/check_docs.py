@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check (run by CI's docs job).
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. every module under ``src/repro`` has a module docstring;
 2. the documentation files the README promises actually exist;
@@ -10,7 +10,10 @@ Four checks, all stdlib-only:
    resolved to ``python -m repro.cli`` — so the quickstart cannot rot;
 4. docs/PERFORMANCE.md stays in sync with the hot path it describes:
    every hard-floored metric in ``repro.bench.baseline.FLOORS`` (with
-   its floor value) and every tokenizer tuning knob must be mentioned.
+   its floor value) and every tokenizer tuning knob must be mentioned;
+5. every ``.py`` path the docs cite (``xmlio/lexer.py``,
+   ``repro/engine/session.py``, ``tests/...``, ``tools/...``) exists, so
+   a deleted module cannot linger in the documentation.
 
 Exit status 0 when everything passes; each failure is reported and the
 script exits 1.
@@ -66,14 +69,11 @@ def check_module_docstrings() -> list[str]:
 
 #: Names the hot-path section of docs/PERFORMANCE.md must keep mentioning
 #: (beyond the FLOORS metrics, which are cross-checked from the code):
-#: the lexer's batch budget and the sharded-scan environment knobs.
+#: the lexer's batch budget, its decode counter and its frozen oracle.
 PERFORMANCE_TERMS = (
     "BATCH_BYTES",
-    "GCX_LEX_SHARDS",
-    "GCX_LEX_SHARD_MIN_BYTES",
     "text_decode_count",
     "_reference_lexer",
-    "_str_lexer",
 )
 
 
@@ -100,6 +100,35 @@ def check_performance_doc() -> list[str]:
     for term in PERFORMANCE_TERMS:
         if term not in text:
             failures.append(f"docs/PERFORMANCE.md does not mention {term!r}")
+    return failures
+
+
+#: A slash-qualified ``.py`` path in prose or code spans; the lookbehind
+#: keeps ``tests/xmlio/x.py`` from also matching as ``xmlio/x.py``.
+_CITED_PATH = re.compile(r"(?<![\w/.-])((?:[A-Za-z_]\w*/)+[A-Za-z_]\w*\.py)\b")
+
+
+def check_cited_paths() -> list[str]:
+    """Every ``.py`` path cited in README.md and docs/*.md must exist.
+
+    ``src/repro/x/y.py``, ``repro/x/y.py`` and ``x/y.py`` (``x`` a
+    subpackage of ``repro``) resolve under ``src/repro``; anything else
+    (``tests/...``, ``tools/...``, ``examples/...``) under the repo root.
+    """
+    packages = {path.name for path in (SRC / "repro").iterdir() if path.is_dir()}
+    failures = []
+    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = doc.read_text(encoding="utf-8")
+        for cited in sorted(set(_CITED_PATH.findall(text))):
+            relative = cited.removeprefix("src/").removeprefix("repro/")
+            if relative.split("/", 1)[0] in packages:
+                target = SRC / "repro" / relative
+            else:
+                target = REPO / cited
+            if not target.is_file():
+                failures.append(
+                    f"{doc.relative_to(REPO)} cites {cited}, which does not exist"
+                )
     return failures
 
 
@@ -191,7 +220,10 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = (
-        check_module_docstrings() + check_docs_exist() + check_performance_doc()
+        check_module_docstrings()
+        + check_docs_exist()
+        + check_performance_doc()
+        + check_cited_paths()
     )
     if not args.skip_readme_commands:
         failures += check_readme_commands()
