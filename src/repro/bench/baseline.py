@@ -251,16 +251,26 @@ def run_quick_suite(
     # Isolate matching by subtracting the tokenize-only time; floor at 5%
     # of the projection pass so host noise can never drive the subtraction
     # to zero (or negative) and poison the snapshot with absurd numbers.
+    # The rate counts the tokens the matcher saw: tokens inside skipped
+    # dead subtrees never reach it.
     project_seconds = _best_seconds(project, repeats)
     match_seconds = max(project_seconds - new_seconds, 0.05 * project_seconds)
     matcher = preprojector.matcher
     lookups = matcher.table_hits + matcher.table_misses
-    tokens = preprojector.buffer.stats.tokens_read
+    stats = preprojector.buffer.stats
     add(
         "matcher_ktokens_per_s",
-        tokens / match_seconds / 1e3,
+        stats.tokens_routed / match_seconds / 1e3,
         "ktok/s",
         machine_dependent=True,
+    )
+    # Deterministic: the share of lexed tokens the dead-subtree skip still
+    # routes to the lane (``tokens_read`` ends as the whole-scan position).
+    add(
+        "lane_token_share",
+        stats.tokens_routed / stats.tokens_read,
+        "ratio",
+        higher_is_better=False,
     )
     add("matcher_table_hit_rate", matcher.table_hits / max(lookups, 1), "ratio")
     add(

@@ -74,7 +74,9 @@ class BufferStats:
 
     nodes_created: int = 0
     nodes_purged: int = 0
-    nodes_dropped: int = 0  # tokens discarded by projection (never buffered)
+    #: Tokens the projection lane examined and discarded (never buffered);
+    #: tokens inside a skipped dead subtree are not examined at all.
+    nodes_dropped: int = 0
     nodes_recycled: int = 0  # creations served from the free list (slab reuse)
 
     roles_assigned: int = 0
@@ -84,7 +86,12 @@ class BufferStats:
 
     gc_invocations: int = 0
     signoffs_executed: int = 0
+    #: Stream position: input tokens read up to the last one this run's
+    #: lane saw, counting the tokens of skipped dead subtrees.
     tokens_read: int = 0
+    #: Input tokens actually dispatched to this run's projection lane
+    #: (zero on the schema-certified direct path, which has no lane).
+    tokens_routed: int = 0
     #: Sum over emitted output nodes of (tokens read at emission − tokens
     #: read at the node's creation): how long output sat in the buffer.
     #: The earliness pass (docs/EARLINESS.md) exists to shrink this.

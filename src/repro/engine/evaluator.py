@@ -4,7 +4,8 @@ The evaluator interprets the rewritten query strictly sequentially.  When it
 needs data that is not yet buffered — binding the next node of a for-loop,
 deciding a condition, serializing an output subtree — it blocks and asks the
 buffer manager for input, which in turn drives the stream preprojector one
-token at a time.  When it encounters a signOff statement it notifies the
+token at a time (a subtree no projection path can reach is read past in
+one pull).  When it encounters a signOff statement it notifies the
 buffer manager, which performs the role update and invokes active garbage
 collection (Figure 10).
 

@@ -22,9 +22,9 @@ Everything per-query is reused from the single-query engine, unchanged:
   query: role accounting balances lane by lane.
 
 Single-query evaluation is literally the N=1 case of this path: a
-:class:`~repro.stream.preprojector.StreamPreprojector` is one pump
-driving one :class:`~repro.stream.preprojector.ProjectionLane`; this
-module drives N lanes from one pump.
+:class:`~repro.stream.preprojector.StreamPreprojector` wires one
+:class:`~repro.stream.preprojector.ProjectionLane` behind a one-lane
+shared pump; this module drives N lanes from the same pump.
 
 A shared-pass aggregate accountant (via the
 :attr:`~repro.buffer.stats.BufferStats.accountant` hook) observes every
@@ -76,7 +76,8 @@ class MultiRunStats:
     ``tokens_read`` is the single-scan count — the number of tokens read
     from the input, *not* multiplied by the number of queries; the
     benchmark gate asserts it equals one document scan.  ``lane_tokens``
-    is each query's routed share of that scan, so
+    is each query's routed share of that scan (its lane's
+    ``tokens_routed``), so
     ``sum(lane_tokens.values())`` against ``tokens_read * query_count``
     quantifies what the bitmask routing saved.
     """
@@ -234,6 +235,9 @@ class MultiStreamingRun:
         )
         while live:
             index, name, run = live.popleft()
+            # Other queries' pulls may have read tokens withheld from this
+            # lane: its evaluator must see the shared position.
+            self._shared.catch_up(index)
             try:
                 token = next(run)
             except StopIteration:
@@ -290,7 +294,7 @@ class MultiStreamingRun:
                 if result is not None
                 else self._shared.lanes[index].buffer.stats
             )
-            lane_tokens[name] = stats.tokens_read
+            lane_tokens[name] = stats.tokens_routed
         return MultiRunStats(
             query_count=len(self._runs),
             tokens_read=self._shared.tokens_read,

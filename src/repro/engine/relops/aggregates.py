@@ -263,6 +263,14 @@ class AccumulatorRuntime:
         if credits:
             self._stats.acc_updates += credits
 
+    def live(self) -> bool:
+        """Can a token below the element opened last change some state?
+
+        True while a frame is still viable there or a capture is open.
+        The projection lane consults this before withholding a subtree.
+        """
+        return bool(self._stack[-1]) or bool(self._captures)
+
     def on_close(self) -> None:
         depth = len(self._stack)
         captures = self._captures

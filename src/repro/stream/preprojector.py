@@ -11,14 +11,13 @@ instances whose signOff already executed (while the region was unfinished)
 are subtracted at arrival, so post-scope arrivals do not retain roles
 forever (see docs/ARCHITECTURE.md).
 
-Since the multi-query engine, the per-query state machine lives in
-:class:`ProjectionLane` — the match-frame stack, open-element bookkeeping,
-buffering decisions and cancellation handling for *one* query.
-:class:`StreamPreprojector` is the N=1 composition: one token pump driving
-one lane.  The shared-stream dispatcher
-(:class:`~repro.stream.shared.SharedPreprojector`) drives N lanes from the
-same pump, which is what makes single-query evaluation literally the N=1
-case of the shared path.
+The per-query state machine lives in :class:`ProjectionLane` — the
+match-frame stack, open-element bookkeeping, buffering decisions and
+cancellation handling for *one* query.  The token pump is
+:class:`~repro.stream.shared.SharedPreprojector`, which drives N lanes
+and skips subtrees no lane can see; :class:`StreamPreprojector` wires one
+lane behind a one-lane pump, so single-query evaluation is literally the
+N=1 case of the shared path.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from repro.analysis.roles import Role
 from repro.buffer.buffer import BufferTree, CancelEntry
 from repro.buffer.node import BufferNode
 from repro.stream.matcher import MatchFrame, StreamMatcher, Transition
-from repro.xmlio.tokens import EndTag, StartTag, Text, Token
+from repro.stream.shared import SharedPreprojector
+from repro.xmlio.tokens import Text, Token
 from repro.xquery.paths import Axis, Path, Step
 
 __all__ = ["ProjectionLane", "StreamPreprojector"]
@@ -112,7 +112,9 @@ class ProjectionLane:
 
     def open(self, tag: str) -> None:
         """An opening tag was read for this lane."""
-        self.buffer.stats.tokens_read += 1
+        stats = self.buffer.stats
+        stats.tokens_read += 1
+        stats.tokens_routed += 1
         frames = self._frames
         transition = self.matcher.match_token(
             frames, tag=tag, is_text=False, any_consumed=self._consumed_frames > 0
@@ -146,7 +148,9 @@ class ProjectionLane:
 
     def close(self) -> None:
         """The closing tag of the lane's deepest open element was read."""
-        self.buffer.stats.tokens_read += 1
+        stats = self.buffer.stats
+        stats.tokens_read += 1
+        stats.tokens_routed += 1
         entry = self._stack.pop()
         frame = self._frames.pop()
         if frame.consumed:
@@ -165,7 +169,9 @@ class ProjectionLane:
         preserves the node.  Text the matcher discards — and every node in
         a parked lane's withheld subtree — stays an undecoded byte span.
         """
-        self.buffer.stats.tokens_read += 1
+        stats = self.buffer.stats
+        stats.tokens_read += 1
+        stats.tokens_routed += 1
         frames = self._frames
         transition = self.matcher.match_token(
             frames, tag=None, is_text=True, any_consumed=self._consumed_frames > 0
@@ -210,14 +216,20 @@ class ProjectionLane:
         aggregate coverage — derives from those multisets, so nothing in
         the subtree can ever concern this lane.  (Not-preserved implies
         not covered by an aggregate scope, which is what licenses dropping
-        the descendants too.)  The caller must then also withhold the
-        matching close event *except* the one that pops this element.
+        the descendants too.)  The accumulator automaton is asked as well:
+        it must see every token below an element where one of its frames
+        is still viable or a capture is open, whatever the matcher's
+        frame says.  The caller must then also withhold the matching close
+        event *except* the one that pops this element.
         """
         entry = self._stack[-1]
         if entry.buffer_node is not None:
             return False
         frame = entry.frame
-        return not frame.matches and not frame.cumulative
+        if frame.matches or frame.cumulative:
+            return False
+        accumulators = self.accumulators
+        return accumulators is None or not accumulators.live()
 
     # ------------------------------------------------------------------
 
@@ -388,11 +400,12 @@ class ProjectionLane:
 class StreamPreprojector:
     """Incremental projection of a token stream into the buffer.
 
-    The N=1 composition of the shared-stream architecture: one token pump
-    (this class) driving one :class:`ProjectionLane`.  All matching,
-    buffering and cancellation behaviour lives in the lane; the public
-    surface (``pull``, ``run_to_completion``, ``exhausted``, ``depth``,
-    ``matcher``, ``buffer``) is unchanged from the single-query engine.
+    One :class:`ProjectionLane` behind a one-lane
+    :class:`~repro.stream.shared.SharedPreprojector`: the lane does all
+    matching, buffering and cancellation, the shared pump all dispatch —
+    including the dead-subtree skip.  The public surface (``pull``,
+    ``run_to_completion``, ``exhausted``, ``depth``, ``matcher``,
+    ``buffer``) is unchanged from the single-query engine.
     """
 
     def __init__(
@@ -405,7 +418,6 @@ class StreamPreprojector:
         matcher: StreamMatcher | None = None,
         accumulators: "object | None" = None,
     ) -> None:
-        self._tokens = tokens
         self._lane = ProjectionLane(
             tree,
             buffer,
@@ -413,6 +425,7 @@ class StreamPreprojector:
             matcher=matcher,
             accumulators=accumulators,
         )
+        self._shared = SharedPreprojector(tokens, [self._lane])
 
     @property
     def buffer(self) -> BufferTree:
@@ -433,21 +446,11 @@ class StreamPreprojector:
     # ------------------------------------------------------------------
 
     def pull(self) -> bool:
-        """Process one input token.  Returns False when input is exhausted."""
-        lane = self._lane
-        if lane.exhausted:
-            return False
-        token = next(self._tokens, None)
-        if token is None:
-            lane.finish_stream()
-            return False
-        if isinstance(token, StartTag):
-            lane.open(token.tag)
-        elif isinstance(token, EndTag):
-            lane.close()
-        elif isinstance(token, Text):
-            lane.text(token)
-        return True
+        """Process one input token, or one dead subtree and its closing tag.
+
+        Returns False when input is exhausted.
+        """
+        return self._shared.pull()
 
     def run_to_completion(self) -> None:
         """Project the whole input (the Galax-style, non-incremental mode)."""

@@ -1,9 +1,11 @@
-"""The shared-stream dispatcher: one token pass feeding N query lanes.
+"""The token pump: one token pass feeding N query lanes.
 
-Where :class:`~repro.stream.preprojector.StreamPreprojector` pumps one
-tokenizer into one :class:`~repro.stream.preprojector.ProjectionLane`,
-:class:`SharedPreprojector` pumps one tokenizer into N lanes — the
-runtime half of the multi-query engine (:mod:`repro.engine.multi`).  The
+:class:`SharedPreprojector` pumps one tokenizer into N
+:class:`~repro.stream.preprojector.ProjectionLane` objects — the runtime
+half of the multi-query engine (:mod:`repro.engine.multi`) and, with one
+lane, of every single-query run
+(:class:`~repro.stream.preprojector.StreamPreprojector` wires its lane
+behind a one-lane dispatcher and has no dispatch code of its own).  The
 document is tokenized exactly once (``tokens_read`` counts the single
 scan, the invariant the benchmark gate asserts); each surviving token is
 routed to the subset of lanes that still care about it.
@@ -30,18 +32,39 @@ has either proven the region irrelevant (park) or signed off everything
 it held (retire); the region leaves the *shared* pass when every
 interested query has done one or the other.
 
-The per-lane ``buffer.stats.tokens_read`` counts only the tokens actually
-dispatched to that lane, so ``RunResult.stats.tokens_read`` reports each
-query's routed share of the single scan — the routing savings are the
-difference to ``tokens_read * N``.
+Dead-subtree skip
+-----------------
+When no lane is active — after every park of a one-lane pump — the next
+:meth:`~SharedPreprojector.pull` reads the withheld tokens in one tight
+loop that only counts depth on ``token.__class__``: no matcher, lane,
+accumulator or text-decode work.  It stops at the closing tag that
+reactivates the top park and dispatches that tag as usual.  The skip runs
+on the pull *after* the park, never on the parking pull, so every buffer
+state an evaluator observes between pulls also occurs in the
+token-at-a-time stream, and outputs and emission points are unchanged.
+
+Positions
+---------
+A lane's ``buffer.stats.tokens_routed`` counts the tokens dispatched to
+it, so ``RunResult.stats.tokens_routed`` reports each query's routed
+share of the single scan.  Its ``buffer.stats.tokens_read`` is a stream
+*position*: the number of shared-stream tokens read up to the last one
+the lane saw.  Withheld tokens still count — the pump brings a lane's
+position up to date when it reactivates the lane and at stream end, and
+:meth:`SharedPreprojector.catch_up` does so for a parked lane whose
+evaluator is about to run — so buffer birth stamps,
+``tokens_held_before_emit`` and ``StreamingRun.tokens_consumed`` read the
+same numbers as if every token had been dispatched.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.stream.preprojector import ProjectionLane
 from repro.xmlio.tokens import EndTag, StartTag, Text, Token
+
+if TYPE_CHECKING:
+    from repro.stream.preprojector import ProjectionLane
 
 __all__ = ["LaneView", "SharedPreprojector"]
 
@@ -96,6 +119,15 @@ class SharedPreprojector:
         except ValueError:
             pass  # parked (or already retired): the park pop skips it
 
+    def catch_up(self, index: int) -> None:
+        """Advance lane ``index``'s position to the shared stream's.
+
+        A parked lane has implicitly read every token withheld from it;
+        its evaluator must see that position before it emits (an active
+        lane is always up to date, so this is a no-op for it).
+        """
+        self.lanes[index].buffer.stats.tokens_read = self.tokens_read
+
     def view(self, index: int) -> "LaneView":
         """The per-query facade evaluators drive their demand through."""
         return LaneView(self, self.lanes[index])
@@ -105,16 +137,22 @@ class SharedPreprojector:
     def pull(self) -> bool:
         """Read one token from the shared stream and route it.
 
-        Returns False when the input is exhausted, after marking every
-        non-retired lane's stream finished.
+        When no lane is active, first read the withheld subtree up to the
+        closing tag that reactivates the top park (see the module
+        docstring), then route that tag.  Returns False when the input is
+        exhausted, after marking every non-retired lane's stream finished.
         """
         if self.exhausted:
             return False
-        token = next(self._tokens, None)
+        if self._active or not self._parked:
+            token = next(self._tokens, None)
+        else:
+            token = self._skip_withheld()
         if token is None:
             self.exhausted = True
             for index, lane in enumerate(self.lanes):
                 if index not in self._retired:
+                    self.catch_up(index)
                     lane.finish_stream()
             return False
         self.tokens_read += 1
@@ -143,8 +181,11 @@ class SharedPreprojector:
                 for index in indices:
                     if index not in self._retired:
                         # Pop the element the lane parked at; the subtree
-                        # between open and close was withheld entirely.
-                        lanes[index].close()
+                        # between open and close was withheld entirely,
+                        # but its tokens still count towards the position.
+                        lane = lanes[index]
+                        lane.buffer.stats.tokens_read = self.tokens_read - 1
+                        lane.close()
                         active.append(index)
             self._depth -= 1
         elif isinstance(token, Text):
@@ -154,6 +195,30 @@ class SharedPreprojector:
             for index in active:
                 lanes[index].text(token)
         return True
+
+    def _skip_withheld(self) -> Token | None:
+        """Read past every token no lane can see.
+
+        Returns the closing tag that reactivates the top park (not yet
+        counted or routed), or None when the input ends first.
+        """
+        depth = self._depth
+        stop = self._parked[-1][0]
+        skipped = 0
+        for token in self._tokens:
+            cls = token.__class__
+            if cls is EndTag:
+                if depth == stop:
+                    break
+                depth -= 1
+            elif cls is StartTag:
+                depth += 1
+            skipped += 1
+        else:
+            token = None
+        self.tokens_read += skipped
+        self._depth = depth
+        return token
 
     def run_to_completion(self) -> None:
         """Drain the shared stream (all lanes projected in one scan)."""

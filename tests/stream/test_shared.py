@@ -60,8 +60,8 @@ class TestRouting:
     def test_lanes_receive_only_their_regions(self):
         shared = shared_over(DOC, QUERY_A, QUERY_B)
         shared.run_to_completion()
-        a_tokens = shared.lanes[0].buffer.stats.tokens_read
-        b_tokens = shared.lanes[1].buffer.stats.tokens_read
+        a_tokens = shared.lanes[0].buffer.stats.tokens_routed
+        b_tokens = shared.lanes[1].buffer.stats.tokens_routed
         # Each lane is withheld the other's subtree (and <c>'s), so both
         # see proper subsets of the scan.
         assert a_tokens < shared.tokens_read
@@ -69,6 +69,9 @@ class TestRouting:
         # Lane A must also skip the irrelevant <noise> subtree inside <a>.
         solo_tokens = sum(1 for _token in tokenize(DOC))
         assert a_tokens < solo_tokens
+        # Positions still count the withheld tokens.
+        for lane in shared.lanes:
+            assert lane.buffer.stats.tokens_read == shared.tokens_read
 
     def test_parked_lane_reactivates_after_its_subtree(self):
         shared = shared_over(DOC, QUERY_A, QUERY_B)
@@ -121,6 +124,43 @@ class TestRetire:
         shared.run_to_completion()
         assert shared.lanes[1].buffer.stats.tokens_read == before
         assert not shared.active_mask & 0b10
+
+
+class TestDeadSubtreeSkip:
+    def test_skip_runs_on_the_pull_after_the_park(self):
+        shared = shared_over(DOC, QUERY_A)
+        lane = shared.lanes[0]
+        for _count in range(6):  # <r> <a> <x> keep-a </x> <noise>
+            shared.pull()
+        # The parking pull dispatched <noise> and nothing more.
+        assert shared.tokens_read == 6
+        assert shared.parked_count == 1 and shared.active_mask == 0
+        shared.pull()
+        # One pull: <deep> skip </deep> read past, </noise> dispatched.
+        assert shared.tokens_read == 10
+        assert shared.parked_count == 0 and shared.active_mask == 0b1
+        assert lane.depth == shared._depth == 2
+        assert lane.buffer.stats.tokens_read == 10
+        assert lane.buffer.stats.tokens_routed == 7
+
+    def test_partial_activity_does_not_skip(self):
+        """With another lane active, parked lanes are withheld per token."""
+        shared = shared_over(DOC, QUERY_A, QUERY_B)
+        shared.pull()  # <r>
+        shared.pull()  # <a>: lane B parks, lane A stays active
+        assert shared.active_mask == 0b01
+        shared.pull()  # <x>
+        assert shared.tokens_read == 3
+
+    def test_catch_up_moves_a_parked_lane_to_the_stream_position(self):
+        shared = shared_over(DOC, QUERY_A, QUERY_B)
+        for _count in range(4):  # <r> <a> (B parks) <x> keep-a
+            shared.pull()
+        stats = shared.lanes[1].buffer.stats
+        assert stats.tokens_read == 2
+        shared.catch_up(1)
+        assert stats.tokens_read == shared.tokens_read == 4
+        assert stats.tokens_routed == 2
 
 
 class TestConstruction:
